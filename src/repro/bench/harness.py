@@ -85,7 +85,6 @@ def run_experiment(
     feedback_rounds: int = 0,
     stats_store: StatisticsStore | str | Path | None = None,
     stats_backend: str | None = None,
-    jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     engine_jobs: int = 1,
@@ -105,8 +104,7 @@ def run_experiment(
     from existing state, and every ingest commits transactionally so
     concurrent experiments can share the store.  With
     ``feedback_rounds=0`` and no store this is exactly the feedback-free
-    protocol — the code path below is untouched.  ``jobs > 1`` shards
-    plan costing across forked worker processes (bit-identical results).
+    protocol — the code path below is untouched.
 
     With ``midquery`` the rank-1 pick is additionally raced against
     itself under mid-query re-optimization (stage-by-stage execution with
@@ -141,14 +139,13 @@ def run_experiment(
             )
         return _run_feedback_experiment(
             workload, picks, mode, params, execute_all, feedback_rounds,
-            stats_store, stats_backend, jobs, midquery, switch_threshold,
+            stats_store, stats_backend, midquery, switch_threshold,
             engine_jobs, tracer,
         )
     params = params or workload.params
     optimizer = Optimizer(
-        workload.catalog, workload.hints, mode, params, jobs=jobs,
-        search=search, top_k=top_k,
-        tracer=tracer,
+        workload.catalog, workload.hints, mode, params,
+        search=search, top_k=top_k, tracer=tracer,
     )
     result = optimizer.optimize(workload.plan)
     # Rank-picked plans share most of their physical subtrees; reuse
@@ -209,7 +206,6 @@ def _run_feedback_experiment(
     feedback_rounds: int,
     stats_store: StatisticsStore | str | Path | None,
     stats_backend: str | None = None,
-    jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     engine_jobs: int = 1,
@@ -227,7 +223,7 @@ def _run_feedback_experiment(
         store = StatisticsStore()
     adaptive = AdaptiveOptimizer(
         workload, store=store, mode=mode, params=params, picks=picks,
-        jobs=jobs, midquery=midquery, switch_threshold=switch_threshold,
+        midquery=midquery, switch_threshold=switch_threshold,
         engine_jobs=engine_jobs, tracer=tracer,
     )
     report = adaptive.run(feedback_rounds)

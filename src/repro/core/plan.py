@@ -85,9 +85,6 @@ class Node:
     def __hash__(self) -> int:
         return self._hash
 
-    def with_children(self, children: tuple["Node", ...]) -> "Node":
-        return Node(self.op, children)
-
     @property
     def only_child(self) -> "Node":
         if len(self.children) != 1:
@@ -118,10 +115,6 @@ def iter_nodes(root: Node) -> Iterator[Node]:
         current = stack.pop()
         yield current
         stack.extend(reversed(current.children))
-
-
-def operators_of(root: Node) -> list[Operator]:
-    return [n.op for n in iter_nodes(root)]
 
 
 def signature(root: Node) -> tuple:

@@ -20,7 +20,7 @@ paper's proofs rely on.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import UdfError
 from .schema import Attribute, FieldMap, NewAttributeFactory
@@ -228,12 +228,3 @@ class Collector:
 
     def records(self) -> list[RawRecord]:
         return self._out
-
-
-def wrap_inputs(
-    rows: Iterable[RawRecord],
-    field_map: FieldMap,
-    resolver: OutputPositionResolver,
-) -> list[InputRecord]:
-    """Wrap raw rows into :class:`InputRecord` views for one operator input."""
-    return [InputRecord(r, field_map, resolver) for r in rows]

@@ -7,18 +7,3 @@ import random
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
-
-
-def zipf_choice(rng: random.Random, n: int, skew: float = 1.1) -> int:
-    """Pick an index in [0, n) with a Zipf-like skew (index 0 hottest)."""
-    if n <= 1:
-        return 0
-    # Inverse-CDF sampling over a truncated zeta distribution.
-    u = rng.random()
-    total = sum(1.0 / (k + 1) ** skew for k in range(n))
-    acc = 0.0
-    for k in range(n):
-        acc += (1.0 / (k + 1) ** skew) / total
-        if u <= acc:
-            return k
-    return n - 1

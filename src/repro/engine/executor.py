@@ -490,15 +490,21 @@ class Engine:
                 out_rows = [[0] * degree for _ in stages]
                 out = empty_partitions(degree)
                 for i, rows in enumerate(base):
+                    active = [ops[0][0]]
                     with tracer.span(
                         "engine.partition",
                         category="engine",
                         op=ops[0][0],
                         partition=i,
                     ):
-                        collected, part_in, part_out = _pool.run_chain_partition(
-                            ops, rows, batch
-                        )
+                        try:
+                            collected, part_in, part_out = (
+                                _pool.run_chain_partition(ops, rows, batch, active)
+                            )
+                        except Exception as exc:
+                            raise _pool.partition_error(
+                                active[0], i, f"{type(exc).__name__}: {exc}"
+                            ) from exc
                     out[i] = collected
                     for k in range(len(stages)):
                         in_rows[k][i] = part_in[k]
@@ -725,9 +731,14 @@ class Engine:
                     op=op.name,
                     partition=i,
                 ):
-                    result, aux = _pool.eval_local_partition(
-                        op, tuple(inp[i] for inp in inputs), need_bytes
-                    )
+                    try:
+                        result, aux = _pool.eval_local_partition(
+                            op, tuple(inp[i] for inp in inputs), need_bytes
+                        )
+                    except Exception as exc:
+                        raise _pool.partition_error(
+                            op.name, i, f"{type(exc).__name__}: {exc}"
+                        ) from exc
                 out[i] = result
                 evaled.append((len(result), aux))
 

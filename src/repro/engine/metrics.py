@@ -59,14 +59,6 @@ class ExecutionReport:
         """Rows read by all source scans — the plan's input volume."""
         return sum(m.rows_out for m in self.per_op if m.strategy == "scan")
 
-    def op_by_name(self) -> dict[str, OpMetrics]:
-        """Per-operator metrics keyed by operator name.
-
-        Plan validation guarantees unique operator names within one plan,
-        so the mapping is lossless for a single execution's report.
-        """
-        return {m.name: m for m in self.per_op}
-
     def minutes_label(self) -> str:
         """Human label like the paper's bar annotations, e.g. ``6:23 min``."""
         total = self.seconds

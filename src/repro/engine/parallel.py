@@ -7,8 +7,8 @@ of its shipped inputs without looking at partition ``j``.  With
 ``Engine(engine_jobs=N)`` those per-partition evaluations run
 concurrently across ``N`` forked worker processes.
 
-Worker discipline (mirroring :mod:`repro.optimizer.parallel`)
--------------------------------------------------------------
+Worker discipline
+-----------------
 Workers are **forked**, never spawned: each parallel region publishes its
 state — the operators, the input partitions, the batch size, and an
 optional scatter spec — in a module global and forks the pool *after*
@@ -42,7 +42,9 @@ the serial ``repartition_by_key`` path.
 Errors raised inside a pooled partition are marshalled back as
 primitives (operator name, partition index, formatted traceback) and
 re-raised in the parent as :class:`~repro.core.errors.ExecutionError` —
-a UDF bug never surfaces as a bare ``BrokenProcessPool``.
+a UDF bug never surfaces as a bare ``BrokenProcessPool``.  The serial
+engine raises the same class with the same attribution
+(:func:`partition_error`), chaining the original exception.
 
 On platforms without ``fork`` the engine falls back to serial execution
 (``available()`` gates the dispatch, with a warning at construction).
@@ -123,7 +125,7 @@ def run_chain_partition(
     Returns the collected output rows plus per-operator input/output row
     counts — the integer facts the chain's metric arithmetic consumes.
     ``active`` (a one-element list) tracks the operator currently
-    executing, for error attribution inside pooled workers.
+    executing, for error attribution.
     """
     count = len(ops)
     in_rows = [0] * count
@@ -232,6 +234,17 @@ def assemble(packed, scatter: ScatterSpec | None):
 # -- worker bodies ------------------------------------------------------------
 
 
+def partition_error(op_name: str, index: int, message: str) -> ExecutionError:
+    """The typed error for an operator failing in one partition.
+
+    Serial and pooled execution raise the same class with the same
+    attribution, so callers never see behaviour depend on ``engine_jobs``.
+    """
+    return ExecutionError(
+        f"operator {op_name!r} failed in partition {index}: {message}"
+    )
+
+
 def _error_payload(op_name: str, index: int, exc: Exception) -> tuple:
     return (
         "error",
@@ -309,10 +322,8 @@ def _run_region(
     for payload in payloads:
         if payload[0] == "error":
             _, op_name, index, message, tb = payload
-            raise ExecutionError(
-                f"operator {op_name!r} failed in partition {index} of a "
-                f"pooled stage: {message}\n"
-                f"--- worker traceback ---\n{tb}"
+            raise partition_error(
+                op_name, index, f"{message}\n--- worker traceback ---\n{tb}"
             )
     return payloads
 

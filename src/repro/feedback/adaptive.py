@@ -130,8 +130,7 @@ class AdaptiveOptimizer:
     :meth:`~repro.feedback.store.StatisticsStore.estimator_view` across
     the round's ingests), then re-costs just those entries.  Results are
     bit-identical to rebuilding from scratch each round; a converged
-    round (no view change) re-costs nothing.  ``jobs > 1`` additionally
-    shards each round's costing across forked worker processes.
+    round (no view change) re-costs nothing.
     """
 
     def __init__(
@@ -142,7 +141,6 @@ class AdaptiveOptimizer:
         params: CostParams | None = None,
         picks: int = 5,
         streaming: bool = True,
-        jobs: int = 1,
         midquery: bool = False,
         switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
         engine_jobs: int = 1,
@@ -178,7 +176,6 @@ class AdaptiveOptimizer:
             mode,
             self.params,
             estimator_factory=self._make_estimator,
-            jobs=jobs,
             tracer=tracer,
         )
         # Carried across rounds; invalidated along the dirty spine of the

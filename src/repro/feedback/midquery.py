@@ -237,9 +237,6 @@ class MidQueryReoptimizer:
             self.tracer.count("feedback.switches")
         return best.physical if switched else None
 
-    def decisions_for(self, run_id: str) -> list[SwitchDecision]:
-        return [d for d in self.decisions if d.run_id == run_id]
-
     def _begin_run(self, run_id: str) -> None:
         """Retire the previous run's per-run state.
 

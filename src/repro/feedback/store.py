@@ -109,12 +109,6 @@ class SourceObservation:
     runs: int = 0
     last_seen: int = 0
 
-    @property
-    def avg_record_bytes(self) -> float | None:
-        if self.rows <= 0:
-            return None
-        return self.scan_bytes / self.rows
-
 
 @dataclass(slots=True)
 class PlanStats:

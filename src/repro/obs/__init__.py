@@ -2,10 +2,10 @@
 
 The paper opens operator black boxes; this package opens *ours*.  A
 :class:`Tracer` threads through the optimizer (enumeration,
-per-alternative costing, memo invalidation, parallel chunk dispatch),
-the engine (per-stage and per-partition execution, fork workers shipping
-span primitives back on their own timeline lanes), and the feedback loop
-(ingest/sync/conflict-retry, mid-query boundary decisions).  The default
+per-alternative costing, memo invalidation), the engine (per-stage and
+per-partition execution, fork workers shipping span primitives back on
+their own timeline lanes), and the feedback loop (ingest/sync/
+conflict-retry, mid-query boundary decisions).  The default
 is the shared :data:`NOOP_TRACER` with near-zero overhead, and tracing
 reads wall clock only — modeled records/metrics/seconds are bit-identical
 on or off.

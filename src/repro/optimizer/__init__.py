@@ -32,9 +32,10 @@ lookup.  Three layers exploit this:
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
   above operators whose hints or learned statistics changed, and
   ``Optimizer.reoptimize`` re-ranks bit-identically to a full rebuild.
-* **Parallel costing** (:mod:`.parallel`): ``Optimizer(jobs=N)`` shards
-  the alternative list across forked workers with per-worker memos that
-  are merged back into the shared one.
+
+Costing is serial: one shared-memo loop per ``optimize`` call.  For large
+plan spaces, ``Optimizer(search="guided")`` costs only the frontier heads
+its admissible lower bounds cannot rule out.
 """
 
 from .cardinality import CardinalityEstimator, EstStats, Hints

@@ -14,7 +14,7 @@ them) and its own key must refine ``K``.
 
 from __future__ import annotations
 
-from ..core.operators import BoundProps, MapOp, MatchOp, ReduceOp, UdfOperator
+from ..core.operators import BoundProps, MatchOp, ReduceOp
 from ..core.plan import Node
 from ..core.properties import KatBehavior
 from ..core.schema import Attribute
@@ -90,13 +90,3 @@ def kgp_match_side(
 
 def accessed(props: BoundProps) -> frozenset[Attribute]:
     return props.accessed
-
-
-def op_props(ctx: PlanContext, op: UdfOperator) -> BoundProps:
-    return ctx.props(op)
-
-
-def is_filter_map(ctx: PlanContext, op: MapOp) -> bool:
-    """Convenience used by examples/benchmarks: a Map that only drops rows."""
-    props = ctx.props(op)
-    return props.emit_bounds.filter_like and not props.writes

@@ -2,9 +2,9 @@
 
 PR 1 buried the Volcano memo — the interned-sub-plan -> pruned-physical-
 options table — inside :class:`~repro.optimizer.physical.PhysicalOptimizer`,
-which made it impossible to selectively invalidate, shard across workers,
-or carry across feedback rounds.  This module extracts it into a
-standalone subsystem with three responsibilities:
+which made it impossible to selectively invalidate or carry across
+feedback rounds.  This module extracts it into a standalone subsystem
+with two responsibilities:
 
 **Ownership.**  A :class:`Memo` owns every piece of per-plan-space derived
 state the optimizer computes: the physical options table, the cardinality
@@ -27,13 +27,6 @@ their hints, per-signature observations, and source statistics — an entry
 containing no changed operator is bit-identical under the new estimator,
 which is what makes the reuse exact (pinned by the invalidation parity
 tests).
-
-**Worker merge.**  Parallel costing (:mod:`repro.optimizer.parallel`)
-costs shards of the alternative list in forked worker processes, each
-against its own fork-inherited copy of the shared memo; the new entries
-each worker produced are merged back through :meth:`Memo.adopt` /
-:meth:`Memo.merge` (first writer wins — entries are deterministic per
-node, so collisions are structurally identical).
 """
 
 from __future__ import annotations
@@ -106,9 +99,9 @@ class Memo:
         #: depends on the subtree's statistics and hints exactly like an
         #: estimate does, so :meth:`invalidate` evicts it along the same
         #: dirty spine.  Writers (:class:`~repro.optimizer.physical.
-        #: PlanLowerBound`) register keys lazily through ``_pending`` —
-        #: the adopt() pattern — keeping the per-entry hot path free of
-        #: the dependency-index walk.
+        #: PlanLowerBound`) register keys lazily through ``_pending``,
+        #: keeping the per-entry hot path free of the dependency-index
+        #: walk.
         self.bounds: dict[Node, "BoundEntry"] = {}
         self._op_names = op_names if op_names is not None else self._names_of
         self._names: dict[Node, frozenset[str]] = {}
@@ -120,9 +113,10 @@ class Memo:
         # with a single set lookup.
         self._registered: set[Node] = set()
         self._by_name: dict[str, set[Node]] = {}
-        # Entries adopted from workers register lazily: the index is only
-        # consulted by invalidate()/dependents_of(), so bulk merges defer
-        # the per-name bookkeeping out of the costing critical path.
+        # Nodes awaiting registration: the index is only consulted by
+        # invalidate()/dependents_of(), so bulk writers (the lower-bound
+        # cache) append here and defer the per-name bookkeeping out of
+        # the search's critical path.
         self._pending: list[Node] = []
 
     # -- table access ------------------------------------------------------
@@ -232,50 +226,3 @@ class Memo:
             if hit:
                 evicted += 1
         return evicted
-
-    # -- worker merge ------------------------------------------------------
-
-    def adopt(
-        self,
-        table_items: Iterable[tuple[Node, tuple["PhysNode", ...]]],
-        est_items: Iterable[tuple[Node, EstStats]] = (),
-        width_items: Iterable[tuple[frozenset, float]] = (),
-    ) -> int:
-        """Merge worker-produced entries; existing entries win.
-
-        Per-node entries are deterministic (computed bottom-up from the
-        child entries, independent of which alternative triggered them),
-        so when two workers both produced an entry the copies are
-        structurally identical and keeping the first is exact.  Returns
-        the number of options-table entries adopted.
-        """
-        adopted = 0
-        table = self.table
-        pending = self._pending
-        for node, options in table_items:
-            if node not in table:
-                table[node] = options
-                pending.append(node)
-                adopted += 1
-        est_cache = self.est_cache
-        for node, est in est_items:
-            if node not in est_cache:
-                # Plain dict write: registration is deferred to _pending.
-                dict.__setitem__(est_cache, node, est)
-                pending.append(node)
-        for key, width in width_items:
-            self.width_cache.setdefault(key, width)
-        return adopted
-
-    def merge(self, other: "Memo") -> int:
-        """Merge another memo's entries into this one (existing win)."""
-        count = self.adopt(
-            other.table.items(), other.est_cache.items(), other.width_cache.items()
-        )
-        for flow, closure in other.closures.items():
-            self.closures.setdefault(flow, closure)
-        for node, neighbors in other.neighbors.items():
-            self.neighbors.setdefault(node, neighbors)
-        for key, sample in other.samples.items():
-            self.samples.setdefault(key, sample)
-        return count

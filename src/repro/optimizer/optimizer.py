@@ -147,13 +147,6 @@ class Optimizer:
     :meth:`optimize` call builds a fresh memo, so one ``Optimizer``
     instance is safely re-entrant across plans and repeated calls.
 
-    **Parallel costing.**  With ``jobs > 1`` the alternative list is
-    sharded across forked worker processes, each costing against its own
-    copy of the shared memo; worker memos are merged back afterwards
-    (:mod:`repro.optimizer.parallel`).  Results are bit-identical to
-    sequential costing; on platforms without ``fork`` the setting is
-    ignored.
-
     **Search strategies.**  ``search="eager"`` (the default and the
     parity reference) costs every candidate and sorts.  ``search="guided"``
     runs the best-first search of :meth:`_optimize_guided`: candidates
@@ -192,22 +185,12 @@ class Optimizer:
             [PlanContext, dict[str, Hints]], CardinalityEstimator
         ]
         | None = None,
-        jobs: int = 1,
         max_alternatives: int | None = None,
         sample_seed: int = 0,
         search: str = "eager",
         top_k: int | None = None,
         tracer=None,
     ) -> None:
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise OptimizationConfigError(
-                f"jobs must be an integer >= 1, got {jobs!r}"
-            )
-        if jobs > 1 and not reuse_memo:
-            raise OptimizationConfigError(
-                "jobs > 1 requires reuse_memo=True: the reference path "
-                "re-plans every alternative sequentially from scratch"
-            )
         if max_alternatives is not None and max_alternatives < 1:
             raise OptimizationConfigError(
                 f"max_alternatives must be None or >= 1, got {max_alternatives}"
@@ -234,7 +217,6 @@ class Optimizer:
         self.ctx = PlanContext(catalog, mode)
         self.reuse_memo = reuse_memo
         self.estimator_factory = estimator_factory or CardinalityEstimator
-        self.jobs = jobs
         self.max_alternatives = max_alternatives
         self.sample_seed = sample_seed
         self.search = search
@@ -343,13 +325,9 @@ class Optimizer:
         enum_span.set(sampled=len(sampled))
         t1 = clock()
         scored: list[tuple[float, Node, PhysNode]] = []
-        cost_span = tracer.span(
-            "optimizer.cost",
-            category="optimizer",
-            alternatives=len(sampled),
-            jobs=self.jobs,
-        )
-        with cost_span:
+        with tracer.span(
+            "optimizer.cost", category="optimizer", alternatives=len(sampled)
+        ):
             if self.reuse_memo:
                 shared_memo = memo if memo is not None else self.new_memo()
                 shared_memo.bind(estimator)
@@ -367,7 +345,7 @@ class Optimizer:
                     scored.append((phys.cost_total, alt, phys))
         t2 = clock()
         # Stable sort: equal-cost plans keep enumeration order, identical
-        # between the sequential, memo-reusing, and parallel paths.
+        # between the memo-reusing and reference paths.
         scored.sort(key=lambda item: item[0])
         ranked = [
             RankedPlan(rank=i + 1, body=alt, physical=phys)
@@ -423,59 +401,20 @@ class Optimizer:
         # eager tie-break.  Indices are unique, so tuple comparison never
         # reaches the (incomparable) Node/PhysNode elements.
         completed: list[tuple[float, int, Node, PhysNode]] = []
-        cost_span = tracer.span(
-            "optimizer.cost",
-            category="optimizer",
-            alternatives=expanded,
-            jobs=self.jobs,
-        )
-        with cost_span:
-            use_parallel = False
-            if self.jobs > 1 and expanded > 1:
-                from . import parallel
-
-                use_parallel = parallel.available()
+        with tracer.span(
+            "optimizer.cost", category="optimizer", alternatives=expanded
+        ):
             physical_optimizer = PhysicalOptimizer(
                 self.ctx, estimator, self.params, memo=shared_memo
             )
-
-            def settled() -> bool:
-                return (
-                    len(completed) >= k
-                    and frontier[0][:2] > completed[k - 1][:2]
-                )
-
             while frontier:
-                if settled():
+                # Settled: the k-th completed key beats every open bound.
+                if len(completed) >= k and frontier[0][:2] > completed[k - 1][:2]:
                     break
-                if use_parallel:
-                    # Pop a topological wave of frontier heads and cost it
-                    # across the worker pool; the termination rule is
-                    # re-checked between pops, so a wave may cost a few
-                    # plans sequential search would have skipped — they
-                    # are trimmed below, keeping results bit-identical.
-                    wave = [heapq.heappop(frontier)]
-                    cap = self.jobs * 4
-                    while len(wave) < cap and frontier and not settled():
-                        wave.append(heapq.heappop(frontier))
-                    costed = parallel.cost_alternatives(
-                        tuple(alt for _, _, alt in wave),
-                        self.ctx,
-                        estimator,
-                        self.params,
-                        shared_memo,
-                        min(self.jobs, len(wave)),
-                        tracer=tracer,
-                    )
-                    for (_, idx, alt), (_, phys) in zip(wave, costed):
-                        insort(completed, (phys.cost_total, idx, alt, phys))
-                else:
-                    _, idx, alt = heapq.heappop(frontier)
-                    with tracer.span(
-                        "optimizer.alternative", category="optimizer"
-                    ):
-                        phys = physical_optimizer.optimize(alt)
-                    insort(completed, (phys.cost_total, idx, alt, phys))
+                _, idx, alt = heapq.heappop(frontier)
+                with tracer.span("optimizer.alternative", category="optimizer"):
+                    phys = physical_optimizer.optimize(alt)
+                insort(completed, (phys.cost_total, idx, alt, phys))
         t2 = clock()
         ranked = [
             RankedPlan(rank=i + 1, body=alt, physical=phys)
@@ -573,20 +512,7 @@ class Optimizer:
         estimator: CardinalityEstimator,
         memo: Memo,
     ) -> list[tuple[Node, PhysNode]]:
-        """Cost alternatives against the shared memo, forking if asked."""
-        if self.jobs > 1 and len(alternatives) > 1:
-            from . import parallel
-
-            if parallel.available():
-                return parallel.cost_alternatives(
-                    alternatives,
-                    self.ctx,
-                    estimator,
-                    self.params,
-                    memo,
-                    min(self.jobs, len(alternatives)),
-                    tracer=self.tracer,
-                )
+        """Cost alternatives, in order, against the shared memo."""
         physical_optimizer = PhysicalOptimizer(
             self.ctx, estimator, self.params, memo=memo
         )

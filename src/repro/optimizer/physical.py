@@ -17,9 +17,9 @@ instance can be shared across every enumerated alternative of a plan
 space: a subtree that appears in hundreds of alternatives is physically
 optimized exactly once (hash-consing makes the memo key an identity
 lookup).  The memo is a first-class subsystem: it can be passed in to be
-shared across optimizer instances, invalidated along the dirty spine of
-changed operators between feedback rounds, and sharded across worker
-processes (see :mod:`repro.optimizer.memo`).  Binary operators
+shared across optimizer instances and invalidated along the dirty spine
+of changed operators between feedback rounds (see
+:mod:`repro.optimizer.memo`).  Binary operators
 additionally apply an exact branch-and-bound cut: once every achievable
 output partitioning has an option, child combinations whose summed
 subtree costs cannot beat any kept option are skipped without generating
@@ -192,8 +192,8 @@ class PhysicalOptimizer:
         # Memo of the Volcano search: interned logical sub-plan -> pruned
         # physical options, shared across every alternative this optimizer
         # instance is asked to plan.  A caller-provided memo additionally
-        # shares entries across optimizer instances, feedback rounds (via
-        # dirty-spine invalidation), and worker processes.
+        # shares entries across optimizer instances and feedback rounds
+        # (via dirty-spine invalidation).
         self._memo = memo if memo is not None else Memo(op_names=ctx.op_names)
 
     # -- public ------------------------------------------------------------
@@ -642,8 +642,8 @@ class PlanLowerBound:
         self.est = estimator
         self.params = params
         self._bounds = memo.bounds
-        # Bound writes defer dependency registration (the adopt() pattern):
-        # invalidate()/dependents_of() drain this before consulting the
+        # Bound writes defer dependency registration to the memo's pending
+        # list: invalidate()/dependents_of() drain it before consulting the
         # index, so eviction stays exact while the per-entry hot path
         # skips the op-names walk.
         self._pending = memo._pending

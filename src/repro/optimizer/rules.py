@@ -176,10 +176,6 @@ def _can_rotate(
 # ---------------------------------------------------------------------------
 
 
-def _is_udf(node: Node) -> bool:
-    return isinstance(node.op, UdfOperator)
-
-
 def local_swaps(node: Node, ctx: PlanContext) -> Iterator[Node]:
     """All single swaps whose *upper* operator is this node's root."""
     op = node.op

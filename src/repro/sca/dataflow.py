@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cfg import ControlFlowGraph
-from .tac import Instr
 
 # A definition is identified by (instruction_index, variable_name).
 Definition = tuple[int, str]
@@ -37,12 +36,6 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
     fn = cfg.fn
     instrs = fn.instructions
     n = len(instrs)
-
-    def gen_of(i: int, instr: Instr) -> frozenset[Definition]:
-        var = instr.defined_var()
-        if var is None:
-            return frozenset()
-        return frozenset({(i, var)})
 
     # Block-level transfer functions.
     n_blocks = len(cfg.blocks)

@@ -295,12 +295,6 @@ class TACFunction:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TACFunction({self.name}, {len(self.instructions)} instrs)"
 
-    def pretty(self) -> str:
-        lines = [f"{self.name}({', '.join(self.params)}):"]
-        for i, instr in enumerate(self.instructions):
-            lines.append(f"  {i:3d}: {instr}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Textual parser (paper-style listings)

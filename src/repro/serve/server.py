@@ -204,6 +204,10 @@ class PlanningServer:
         self._metrics_server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
         self._reopt_task: asyncio.Task | None = None
+        #: Live client-connection tasks (planning and metrics): stop()
+        #: cancels and awaits them so no transport outlives the loop.
+        self._connections: set[asyncio.Task] = set()
+        self._stopping = False
         self.port: int | None = None
         self.metrics_port: int | None = None
 
@@ -212,12 +216,14 @@ class PlanningServer:
     async def start(self) -> None:
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._tracked(self._handle_connection),
+            self.config.host,
+            self.config.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
-                self._handle_metrics_http,
+                self._tracked(self._handle_metrics_http),
                 self.config.host,
                 self.config.metrics_port,
             )
@@ -240,16 +246,47 @@ class PlanningServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._reopt_task
             self._reopt_task = None
-        for server in (self._server, self._metrics_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        listeners = [
+            s for s in (self._server, self._metrics_server) if s is not None
+        ]
+        for server in listeners:
+            server.close()
+        # Idle clients would keep their handlers parked in readline()
+        # past loop shutdown; cancel them, and let each close its writer.
+        self._stopping = True
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
+        for server in listeners:
+            await server.wait_closed()
         self._server = self._metrics_server = None
         for tenant in self._tenants.values():
             tenant.store.close()
         self._tenants.clear()
 
     # -- connection handling -----------------------------------------------
+
+    def _tracked(self, handler):
+        """Wrap a connection handler so :meth:`stop` can reach its task."""
+
+        async def run(
+            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        ) -> None:
+            task = asyncio.current_task()
+            self._connections.add(task)
+            try:
+                await handler(reader, writer)
+            except asyncio.CancelledError:
+                # Absorb only stop()'s one cancellation (the handler has
+                # closed its writer): the stream server's done-callback
+                # calls task.exception(), which raises on a cancelled task.
+                if not self._stopping or task.uncancel() > 0:
+                    raise
+            finally:
+                self._connections.discard(task)
+
+        return run
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -211,13 +211,14 @@ class TestWorkerErrors:
             out.emit(rec.copy())
 
         phys, data, params = _tiny_flow(explode)
-        engine = Engine(params, engine_jobs=2)
-        with pytest.raises(ExecutionError) as err:
-            engine.execute(phys, data)
-        message = str(err.value)
-        assert "'annotate'" in message
-        assert "partition 3" in message  # 7 % degree=4 under round robin
-        assert "bad tuple 7" in message
+        for engine_jobs in (1, 2):  # serial and pooled attribute alike
+            engine = Engine(params, engine_jobs=engine_jobs)
+            with pytest.raises(ExecutionError) as err:
+                engine.execute(phys, data)
+            message = str(err.value)
+            assert "'annotate'" in message
+            assert "partition 3" in message  # 7 % degree=4 under round robin
+            assert "bad tuple 7" in message
 
     def test_local_strategy_udf_error_names_operator_and_partition(self):
         def explode(records, out):
@@ -226,13 +227,14 @@ class TestWorkerErrors:
             out.emit(records[0].copy())
 
         phys, data, params = _tiny_flow(explode, reduce_key=(0,))
-        engine = Engine(params, engine_jobs=2)
-        with pytest.raises(ExecutionError) as err:
-            engine.execute(phys, data)
-        message = str(err.value)
-        assert "'fold'" in message
-        assert "partition" in message
-        assert "reduce group blew up" in message
+        for engine_jobs in (1, 2):  # serial and pooled attribute alike
+            engine = Engine(params, engine_jobs=engine_jobs)
+            with pytest.raises(ExecutionError) as err:
+                engine.execute(phys, data)
+            message = str(err.value)
+            assert "'fold'" in message
+            assert "partition" in message
+            assert "reduce group blew up" in message
 
     def test_serial_engine_raises_the_same_error_class(self):
         def explode(rec, out):
@@ -241,9 +243,44 @@ class TestWorkerErrors:
         phys, data, params = _tiny_flow(explode)
         with pytest.raises(ExecutionError):
             Engine(params, engine_jobs=2).execute(phys, data)
-        # Serial path: no marshalling, the UDF error propagates natively.
-        with pytest.raises(Exception):
+        # Serial path: the same class, with the UDF error chained.
+        with pytest.raises(ExecutionError) as err:
             Engine(params).execute(phys, data)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert str(err.value.__cause__) == "always"
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_serial_error_names_operator_and_partition(self, streaming):
+        def explode(rec, out):
+            if rec.get_field(0) == 7:
+                raise ValueError("bad tuple 7")
+            out.emit(rec.copy())
+
+        phys, data, params = _tiny_flow(explode)
+        with pytest.raises(ExecutionError) as err:
+            Engine(params, streaming=streaming).execute(phys, data)
+        message = str(err.value)
+        assert "'annotate'" in message
+        assert "partition 3" in message  # 7 % degree=4 under round robin
+        assert "ValueError: bad tuple 7" in message
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_serial_local_strategy_error_is_typed_and_chained(self, streaming):
+        def explode(records, out):
+            if records[0].get_field(0) % 4 == 1:
+                raise RuntimeError("reduce group blew up")
+            out.emit(records[0].copy())
+
+        phys, data, params = _tiny_flow(explode, reduce_key=(0,))
+        with pytest.raises(ExecutionError) as err:
+            Engine(params, streaming=streaming).execute(phys, data)
+        message = str(err.value)
+        assert "'fold'" in message
+        assert "partition" in message
+        assert "RuntimeError: reduce group blew up" in message
+        assert isinstance(err.value.__cause__, RuntimeError)
+        assert str(err.value.__cause__) == "reduce group blew up"
 
 
 class TestEngineJobsValidation:

@@ -192,6 +192,22 @@ def test_unknown_workload_rejected():
         main(["analyze", "nope"])
 
 
+def test_plan_costing_has_no_jobs_option(capsys):
+    # Plan costing is serial; --search guided is the fast path for large
+    # plan spaces.  Only the engine takes a worker count (--engine-jobs).
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "tpch_q7", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_experiment_guided_search_plans_the_top_k(capsys):
+    argv = ["experiment", "tpch_q7", "--search", "guided", "--top-k", "3"]
+    assert main(argv + ["--picks", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "plans enumerated: 3" in out
+    assert "runtime spread" in out
+
 def test_experiment_warns_on_unknown_store_extension(capsys, tmp_path):
     """A typo'd extension must not *silently* fall back to JSON: the
     sniff warns (naming the path and the fallback) and still works."""

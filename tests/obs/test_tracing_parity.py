@@ -152,25 +152,28 @@ class TestOptimizerParity:
             == len(got.ranked)
         )
 
-    def test_parallel_costing_identical_traced_vs_untraced(self, optimized):
-        workload, _ = optimized["tpch_q7"]
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_guided_ranked_costs_identical_traced_vs_untraced(
+        self, optimized, name
+    ):
+        workload, _ = optimized[name]
         tracer = Tracer()
+        kwargs = dict(search="guided", top_k=3)
         want = Optimizer(
             workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=2,
+            workload.params, **kwargs,
         ).optimize(workload.plan)
         got = Optimizer(
             workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=2, tracer=tracer,
+            workload.params, tracer=tracer, **kwargs,
         ).optimize(workload.plan)
         assert [(p.rank, p.cost) for p in got.ranked] == [
             (p.rank, p.cost) for p in want.ranked
         ]
-        dispatch = [
-            s for s in tracer.spans if s.name == "optimizer.parallel.dispatch"
-        ]
-        assert dispatch  # the pool path ran and was traced
-
+        assert got.search_stats == want.search_stats
+        costed = [s for s in tracer.spans if s.name == "optimizer.alternative"]
+        assert len(costed) == got.search_stats.costed
 
 class TestFeedbackParity:
     def test_feedback_rounds_identical_traced_vs_untraced(self, optimized):

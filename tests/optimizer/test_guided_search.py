@@ -10,33 +10,27 @@ that makes the strategy usable as a drop-in serving path:
   float costs, same physical trees — across all four paper workloads,
   under random hint perturbations (hypothesis), and again after a
   dirty-spine ``Memo.invalidate`` + re-search.
-* Guided composes with plan-space sampling (``max_alternatives``) and
-  with parallel wave costing (``jobs > 1``) without changing results.
+* Guided composes with plan-space sampling (``max_alternatives``)
+  without changing results.
 * The work counters (:class:`~repro.optimizer.optimizer.SearchStats`)
   prove guided actually prunes: costed < expanded, and far fewer
   cardinality-estimate cache misses than eager spends.
-* Configuration errors (bad ``jobs`` / ``engine_jobs`` / ``search`` /
+* Configuration errors (bad ``engine_jobs`` / ``search`` /
   ``top_k``, guided under feedback) raise subclasses of ``ValueError``
   so callers can catch them without importing repro error types.
 """
-
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnnotationMode
-from repro.core.errors import (
-    ExecutionError,
-    OptimizationConfigError,
-    OptimizationError,
-)
+from repro.core.errors import ExecutionError, OptimizationConfigError
 from repro.core.plan import body as plan_body, iter_nodes
 from repro.core.operators import UdfOperator
 from repro.bench.harness import run_experiment
 from repro.engine import Engine
-from repro.optimizer import Hints, Optimizer, parallel
+from repro.optimizer import Hints, Optimizer
 from repro.workloads import (
     build_clickstream,
     build_q7,
@@ -50,8 +44,6 @@ WORKLOADS = {
     "textmining": build_textmining(),
     "tpch_q7": build_q7(),
 }
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def assert_prefix_identical(guided, eager, k):
@@ -171,7 +163,7 @@ def test_guided_top_k_beyond_space_returns_full_ranking():
     assert_prefix_identical(guided, eager, space)
 
 
-# -- composition: sampling and parallel waves ------------------------------
+# -- composition: sampling ------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -196,21 +188,25 @@ def test_guided_matches_eager_under_sampling(seed):
     assert_prefix_identical(guided, again, 3)
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="wave costing requires fork")
-@pytest.mark.skipif(not parallel.available(), reason="parallel unavailable")
 @pytest.mark.parametrize("k", [1, 4])
-def test_guided_parallel_waves_match_sequential(k):
+def test_guided_over_warm_eager_memo_matches_cold(k):
+    """A guided search over a memo an eager call already filled reuses its
+    closure and costed entries without changing the top-k prefix."""
     workload = WORKLOADS["tpch_q7"]
-    sequential = Optimizer(
+    eager_opt = Optimizer(
+        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
+    )
+    memo = eager_opt.new_memo()
+    eager = eager_opt.optimize(workload.plan, memo=memo)
+    guided_opt = Optimizer(
         workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
         search="guided", top_k=k,
-    ).optimize(workload.plan)
-    waves = Optimizer(
-        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
-        search="guided", top_k=k, jobs=2,
-    ).optimize(workload.plan)
-    assert_prefix_identical(waves, sequential, k)
-
+    )
+    cold = guided_opt.optimize(workload.plan)
+    warm = guided_opt.optimize(workload.plan, memo=memo)
+    assert_prefix_identical(warm, eager, k)
+    assert_prefix_identical(cold, eager, k)
+    assert warm.search_stats.expanded == eager.plan_count
 
 # -- work accounting -------------------------------------------------------
 
@@ -259,21 +255,32 @@ def test_search_stats_exported_as_counters():
 # -- configuration errors --------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
-def test_optimizer_jobs_validation_is_a_value_error(bad):
-    workload = WORKLOADS["textmining"]
-    with pytest.raises(ValueError, match="jobs"):
-        Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=bad,
-        )
-    # and still catchable as the subsystem error, for existing callers
-    with pytest.raises(OptimizationError):
-        Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=bad,
-        )
+def _optimizer_with_jobs(workload):
+    return Optimizer(
+        workload.catalog, workload.hints, AnnotationMode.SCA,
+        workload.params, jobs=2,
+    )
 
+
+def _adaptive_with_jobs(workload):
+    from repro.feedback import AdaptiveOptimizer
+
+    return AdaptiveOptimizer(workload, jobs=2)
+
+
+def _experiment_with_jobs(workload):
+    return run_experiment(workload, picks=1, jobs=2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_optimizer_with_jobs, _adaptive_with_jobs, _experiment_with_jobs],
+    ids=["optimizer", "adaptive", "run_experiment"],
+)
+def test_costing_layers_reject_jobs(build):
+    # Plan costing has one serial path; no layer takes a worker count.
+    with pytest.raises(TypeError, match="jobs"):
+        build(WORKLOADS["textmining"])
 
 @pytest.mark.parametrize("bad", [0, -1, 2.0, False, "2"])
 def test_engine_jobs_validation_is_a_value_error(bad):

@@ -165,18 +165,22 @@ def test_memo_reuse_without_changes_is_identical(workloads):
     assert_identical(again, first)
 
 
-def test_memo_merge_combines_entries(workloads):
-    w = workloads["clickstream"]
+def test_shared_memo_covers_every_subplan_of_the_closure(workloads):
+    w = workloads["tpch_q7"]
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
-    a, b = opt.new_memo(), opt.new_memo()
-    opt.optimize(w.plan, memo=a)
-    opt.optimize(w.plan, memo=b)
-    merged = opt.new_memo()
-    assert merged.merge(a) == len(a)
-    assert merged.merge(b) == 0  # everything already present; first wins
-    assert set(merged.table) == set(a.table)
-    assert set(merged.closures) == set(a.closures)
-
+    memo = opt.new_memo()
+    first = opt.optimize(w.plan, memo=memo)
+    # one serial pass costs each distinct sub-plan of the closure once
+    distinct = set()
+    for alt in memo.closures[plan_body(w.plan)]:
+        stack = [alt]
+        while stack:
+            n = stack.pop()
+            distinct.add(n)
+            stack.extend(n.children)
+    assert set(memo.table) == distinct
+    # and the memo is immediately reusable: a warm second call is identical
+    assert_identical(opt.optimize(w.plan, memo=memo), first)
 
 def test_explicit_memo_requires_reuse_memo():
     w = build_q15()
@@ -300,6 +304,20 @@ def test_sampling_ranks_are_subset_consistent(workloads):
     assert costs == sorted(costs)
 
 
+def test_sampled_shared_memo_matches_reference_path(workloads):
+    """Sampling composes with the shared memo: same plans, exact costs."""
+    w = workloads["tpch_q7"]
+    kwargs = dict(max_alternatives=30, sample_seed=11)
+    shared = Optimizer(
+        w.catalog, w.hints, AnnotationMode.SCA, w.params, **kwargs
+    ).optimize(w.plan)
+    reference = Optimizer(
+        w.catalog, w.hints, AnnotationMode.SCA, w.params,
+        reuse_memo=False, **kwargs,
+    ).optimize(w.plan)
+    assert shared.plan_count == 30
+    assert_identical(shared, reference)
+
 def test_sampling_noop_when_closure_small():
     w = build_q15()  # 3 alternatives
     sampled = Optimizer(
@@ -316,8 +334,5 @@ def test_sampling_validates_arguments():
     w = build_q15()
     with pytest.raises(OptimizationError):
         Optimizer(w.catalog, max_alternatives=0)
-    with pytest.raises(OptimizationError):
-        Optimizer(w.catalog, jobs=0)
-    with pytest.raises(OptimizationError):
-        # the reference path is sequential by definition
-        Optimizer(w.catalog, reuse_memo=False, jobs=2)
+    with pytest.raises(TypeError, match="jobs"):
+        Optimizer(w.catalog, jobs=2)  # costing has a single serial path

@@ -7,18 +7,21 @@ server adds caching and scheduling, never arithmetic.
 
 from __future__ import annotations
 
+import asyncio
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core import AnnotationMode, body
+from repro.core import AnnotationMode
 from repro.core.plan import linearize, signature_key
 from repro.feedback.estimator import FeedbackEstimator
 from repro.feedback.store import StatisticsStore
 from repro.obs import Tracer
 from repro.optimizer import Optimizer
-from repro.serve import ServeError, ServerConfig
+from repro.serve import PlanningServer, ServeError, ServerConfig
+from repro.serve.protocol import decode_message, encode_message
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -115,6 +118,7 @@ def test_metrics_http_404(make_server):
     url = f"http://127.0.0.1:{server.server.metrics_port}/other"
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(url, timeout=30)
+    err.value.close()  # an HTTPError holds the response's open socket
     assert err.value.code == 404
 
 
@@ -162,3 +166,56 @@ def test_shutdown_op_stops_the_server(make_server):
         assert client.shutdown()["shutting_down"] is True
     server._thread.join(timeout=30)
     assert not server._thread.is_alive()
+
+
+def test_stop_cancels_idle_connections():
+    """Idle clients spanning ``stop()`` (one on the planning port, one on
+    the metrics port): their handlers are cancelled and awaited, the
+    server closes its end, and no task or transport survives."""
+
+    async def scenario() -> None:
+        server = PlanningServer(ServerConfig(reopt_interval=0, metrics_port=0))
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(encode_message({"op": "ping"}))
+        await writer.drain()
+        assert decode_message(await reader.readline())["pong"] is True
+        m_reader, m_writer = await asyncio.open_connection(
+            "127.0.0.1", server.metrics_port
+        )
+        for _ in range(500):  # let the metrics handler start and park
+            if len(asyncio.all_tasks()) >= 3:
+                break
+            await asyncio.sleep(0.01)
+        assert len(asyncio.all_tasks()) == 3
+
+        await asyncio.wait_for(server.stop(), timeout=10)
+
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        for r in (reader, m_reader):
+            assert await asyncio.wait_for(r.read(), timeout=10) == b""
+        for w in (writer, m_writer):
+            w.close()
+            await w.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_finished_connections_are_untracked(make_server):
+    """A long-running server holds no task for a client that has gone."""
+    server = make_server()
+    for _ in range(3):
+        with server.connect() as client:
+            assert client.ping()["pong"] is True
+            assert server.call(lambda: len(server.server._connections)) == 1
+
+    def live():
+        return len(server.server._connections)
+
+    for _ in range(500):  # the handler sees EOF and unwinds
+        if server.call(live) == 0:
+            break
+        time.sleep(0.01)
+    assert server.call(live) == 0
